@@ -113,10 +113,6 @@ RLCutOptions TrainerOptions(const ChaosOptions& options, uint64_t seed) {
   // improvement of 0.0), so sessions may legitimately stop early; the
   // crash lane checkpoints every step to guarantee a fallback pair.
   topts.convergence_epsilon = 1e-12;
-  // Tight deadline + an extra retry round: injected stalls and dropped
-  // chunks must resolve through re-dispatch, not by waiting them out.
-  topts.batch_deadline_seconds = 0.05;
-  topts.chunk_max_retries = 3;
   return topts;
 }
 
@@ -240,6 +236,8 @@ bool RunFaultedSession(const ChaosOptions& options, const Problem& problem,
                 schedule.ToSpec() + "]: " + e.what());
   }
   report->fires += fault::TotalFires();
+  report->chunk_fires += fault::FireCount("trainer.chunk_stall") +
+                         fault::FireCount("trainer.chunk_abandon");
 
   // Crash-consistency of the auto-checkpoint slots, checked while the
   // checkpoint.* rules are still armed the way the run left them (load
@@ -570,8 +568,9 @@ std::string ChaosReport::Summary() const {
   out << "chaos: " << sessions << " sessions (" << masked << " masked, "
       << degraded << " degraded-valid, " << crash_resumes
       << " crash resumes, " << stream_recoveries
-      << " stream recoveries), " << fires << " injected fires, "
-      << failures.size() << " failures";
+      << " stream recoveries), " << fires << " injected fires ("
+      << chunk_fires << " in scoring tasks), " << failures.size()
+      << " failures";
   return out.str();
 }
 

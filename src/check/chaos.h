@@ -16,8 +16,8 @@ namespace check {
 /// it with a seeded random FaultSchedule armed and asserts one of two
 /// acceptable outcomes:
 ///
-///   * masked — retries/redispatch absorbed every fault and the final
-///     masters are bit-identical to the reference, or
+///   * masked — recovery (re-scoring, retries) absorbed every fault
+///     and the final masters are bit-identical to the reference, or
 ///   * degraded — the result differs but CheckInvariants() is clean
 ///     and the plan round-trips through Save/Load/Apply.
 ///
@@ -57,6 +57,9 @@ struct ChaosReport {
   uint64_t stream_recoveries = 0;
   /// Total injected fires across all sessions.
   uint64_t fires = 0;
+  /// Of those, trainer.chunk_* fires: scoring tasks that stalled or
+  /// were abandoned and had to be re-scored.
+  uint64_t chunk_fires = 0;
   std::vector<std::string> failures;
 
   std::string Summary() const;

@@ -37,11 +37,11 @@ struct Rng {
   uint64_t Below(uint64_t n) { return n == 0 ? 0 : Next() % n; }
 };
 
-std::string ScratchPath(const std::string& tag) {
+std::string ScratchPath(int session) {
   static std::atomic<uint64_t> counter{0};
   std::ostringstream name;
   name << "rlcut_stream_" << ::getpid() << "_"
-       << counter.fetch_add(1, std::memory_order_relaxed) << "_" << tag;
+       << counter.fetch_add(1, std::memory_order_relaxed) << "_s" << session;
   return (std::filesystem::temp_directory_path() / name.str()).string();
 }
 
@@ -383,7 +383,7 @@ StreamOracleReport RunStreamOracle(const StreamOracleOptions& options) {
     // Resume lane: checkpoint mid-stream, restore, finish identically.
     {
       LaneTrace resumed;
-      const std::string path = ScratchPath("s" + std::to_string(s));
+      const std::string path = ScratchPath(s);
       StreamOracleReport scratch;
       const bool ok = DriveLane(options, problem, session_seed, nullptr,
                                 &path, &resumed, &scratch, &error);

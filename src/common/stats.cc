@@ -1,5 +1,6 @@
 #include "common/stats.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace rlcut {
@@ -26,6 +27,19 @@ double RunningStats::stddev() const { return std::sqrt(variance()); }
 double RunningStats::cv() const {
   if (count_ == 0 || mean_ == 0) return 0.0;
   return stddev() / mean_;
+}
+
+double Percentile(std::vector<double> values, double q) {
+  if (values.empty()) return 0;
+  const size_t n = values.size();
+  // The epsilon keeps a rank that should be whole (0.07 * 100) from
+  // rounding up to the next sample.
+  const double exact = std::clamp(q, 0.0, 1.0) * static_cast<double>(n);
+  const size_t rank = std::clamp<size_t>(
+      static_cast<size_t>(std::ceil(exact - 1e-9)), 1, n);
+  std::nth_element(values.begin(), values.begin() + (rank - 1),
+                   values.end());
+  return values[rank - 1];
 }
 
 Pow2Histogram::Pow2Histogram() : buckets_(65, 0) {}

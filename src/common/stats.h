@@ -35,6 +35,12 @@ class RunningStats {
   double sum_ = 0;
 };
 
+/// Exact nearest-rank percentile: the ceil(q * n)-th smallest of the n
+/// samples, for q in [0, 1] (q = 0 is the minimum, q = 1 the maximum).
+/// Returns 0 for no samples. obs::Histogram::Percentile is the
+/// bounded-memory estimate for streams too long to keep.
+double Percentile(std::vector<double> values, double q);
+
 /// Fixed-bucket histogram over [0, +inf) with power-of-two bucket bounds;
 /// used for degree distributions in tests and dataset reports.
 class Pow2Histogram {

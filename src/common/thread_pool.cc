@@ -84,7 +84,7 @@ void ThreadPool::WorkerLoop() {
     }
     if (fault::ShouldFire("threadpool.worker_crash")) {
       // Simulated worker death: the task is dropped (recorded as an
-      // error so barriers and the trainer's redispatch see it) and this
+      // error so barriers and the trainer's re-scoring see it) and this
       // thread exits after arranging a replacement, so pool capacity
       // survives the crash.
       std::unique_lock<std::mutex> lock(mu_);

@@ -116,18 +116,6 @@ struct RLCutOptions {
 
   // ---- Robustness knobs (docs/robustness.md) -------------------------
 
-  /// Wall-clock deadline for one batch's parallel scoring stage,
-  /// seconds. On expiry the incomplete agent chunks are speculatively
-  /// re-dispatched with exponential backoff (scoring is pure until the
-  /// commit phase, so duplicate execution is harmless); after
-  /// `chunk_max_retries` rounds the coordinator runs the stragglers
-  /// inline. <= 0 means no deadline — except while a fault schedule is
-  /// armed, where a short default keeps injected stalls and dropped
-  /// tasks bounded.
-  double batch_deadline_seconds = 0;
-  /// Speculative re-dispatch rounds before the inline fallback.
-  int chunk_max_retries = 2;
-
   /// Auto-checkpoint: every N completed steps, write a crash-consistent
   /// rotating checkpoint (primary + ".prev" last-good) to
   /// `checkpoint_path`. 0 disables. Save failures are counted and

@@ -97,6 +97,12 @@ struct TrainResult {
   bool replica_degraded = false;
 };
 
+/// Construction-time validation of trainer options, Status-based like
+/// the rest of the fallible API. Fallible entry points (the CLI tools,
+/// the partitioner registry) gate on this; the RLCutTrainer constructor
+/// itself clamps out-of-range values instead of crashing.
+Status ValidateRLCutOptions(const RLCutOptions& options);
+
 /// The RLCut multi-agent trainer (Sec. IV-V).
 ///
 /// Each training step runs the five per-agent stages — score function
@@ -105,20 +111,21 @@ struct TrainResult {
 /// migration with rollback — with three overhead optimizations:
 ///
 ///  * batching: agents within a batch decide against the batch-start
-///    state and are scored in parallel by their owner shards, each
-///    owning a contiguous degree-balanced vertex range
-///    (docs/sharding.md);
+///    state and are scored by their owner shards, each owning a
+///    contiguous degree-balanced vertex range (docs/sharding.md);
 ///  * straggler mitigation: heaviest-shard-first dispatch of the
 ///    scoring work (Sec. V-B, sharded form — order affects wall clock,
 ///    never the trajectory);
 ///  * adaptive sampling: the lowest-degree SR_i fraction of agents
 ///    trains in step i, SR_i sized by Eq. 14 to meet T_opt (Sec. V-C).
-/// Construction-time validation of trainer options, Status-based like
-/// the rest of the fallible API. Fallible entry points (the CLI tools,
-/// the partitioner registry) gate on this; the RLCutTrainer constructor
-/// itself clamps out-of-range values instead of crashing.
-Status ValidateRLCutOptions(const RLCutOptions& options);
-
+///
+/// With more than one thread and more than one active shard, a batch
+/// submits each shard's scoring to the worker pool once and waits; the
+/// coordinator then scores, with fault injection off, every shard left
+/// without scores (a thrown, dropped or abandoned task). Otherwise the
+/// coordinator scores every shard itself, and a one-thread trainer
+/// owns no worker pool at all. Scoring is pure, so every path commits
+/// the same trajectory (docs/robustness.md).
 class RLCutTrainer {
  public:
   /// Fallible construction: validates `options` and returns a trainer,
@@ -188,7 +195,7 @@ class RLCutTrainer {
   RLCutOptions options_;
   size_t num_threads_;
   size_t num_shards_;
-  std::unique_ptr<ThreadPool> pool_;
+  std::unique_ptr<ThreadPool> pool_;  // nullptr when num_threads_ == 1
   ReplicaSink* replica_sink_ = nullptr;
 };
 

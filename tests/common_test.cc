@@ -2,6 +2,7 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -259,6 +260,33 @@ TEST(Pow2HistogramTest, Buckets) {
   EXPECT_EQ(h.buckets()[1], 2u);  // {2,3}
   EXPECT_EQ(h.buckets()[2], 1u);  // {4..7}
   EXPECT_EQ(h.buckets()[9], 1u);  // {512..1023}
+}
+
+TEST(PercentileTest, NearestRankOfUnsortedSamples) {
+  // 1..100, shuffled: the q-th percentile is the ceil(100 q)-th value.
+  std::vector<double> values;
+  for (int i = 1; i <= 100; ++i) values.push_back((i * 37) % 101);
+  EXPECT_EQ(Percentile(values, 0.5), 50);
+  EXPECT_EQ(Percentile(values, 0.9), 90);
+  EXPECT_EQ(Percentile(values, 0.99), 99);
+  EXPECT_EQ(Percentile(values, 0.07), 7);  // 0.07 * 100 is not exact
+  EXPECT_EQ(Percentile(values, 0.901), 91);
+  // 24 samples: p99 is the maximum, not the 23rd value.
+  EXPECT_EQ(Percentile({5, 1, 4, 2, 3, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
+                        16, 17, 18, 19, 20, 21, 22, 23, 24},
+                       0.99),
+            24);
+}
+
+TEST(PercentileTest, EdgeCases) {
+  EXPECT_EQ(Percentile({}, 0.5), 0);
+  EXPECT_EQ(Percentile({7.5}, 0), 7.5);
+  EXPECT_EQ(Percentile({7.5}, 0.5), 7.5);
+  EXPECT_EQ(Percentile({7.5}, 1), 7.5);
+  EXPECT_EQ(Percentile({3, 1, 2}, 0), 1);  // q = 0: the minimum
+  EXPECT_EQ(Percentile({3, 1, 2}, 1), 3);  // q = 1: the maximum
+  EXPECT_EQ(Percentile({3, 1, 2}, 0.5), 2);
+  EXPECT_EQ(Percentile({4, 1, 3, 2}, 0.5), 2);  // lower median
 }
 
 // ---- ThreadPool -----------------------------------------------------------

@@ -19,6 +19,7 @@
 #include "fault/fault.h"
 #include "graph/generators.h"
 #include "graph/geo.h"
+#include "obs/metrics.h"
 #include "rlcut/checkpoint.h"
 
 namespace rlcut {
@@ -302,20 +303,52 @@ TEST_F(CrashRecoveryTest, AutoCheckpointedRunResumesToTheSameResult) {
 TEST_F(CrashRecoveryTest, MaskedFaultsLeaveTrainingBitIdentical) {
   const RLCutOptions options = Options();
   const std::vector<DcId> reference = UninterruptedMasters(options);
+  obs::Counter* inline_runs =
+      obs::DefaultRegistry().GetCounter("trainer.chunk_inline_runs");
+  const uint64_t inline_runs_before = inline_runs->value();
 
   auto state = MakeState();
   AutomatonPool pool(graph_.num_vertices(), topology_.num_dcs(), options);
   fault::Arm(MustParse(
       "threadpool.task_throw:prob=0.1;"
+      "threadpool.worker_crash:nth=1;"
       "trainer.chunk_stall:prob=0.2,amount=10;"
       "trainer.chunk_abandon:prob=0.1"));
   RLCutTrainer(options).Train(state.get(), AllVertices(), &pool);
   const uint64_t fires = fault::TotalFires();
+  const uint64_t crashes = fault::FireCount("threadpool.worker_crash");
   fault::Disarm();
 
   EXPECT_GT(fires, 0u);
-  // Scoring is pure and retried work is idempotent, so every one of
-  // these faults must be absorbed without changing the result.
+  EXPECT_EQ(crashes, 1u);
+  // Every scoring task that threw, was dropped by the crashed worker or
+  // was abandoned is re-scored on the coordinator. Scoring is pure, so
+  // the result is the fault-free one.
+  EXPECT_GT(inline_runs->value(), inline_runs_before);
+  EXPECT_EQ(state->masters(), reference);
+}
+
+TEST_F(CrashRecoveryTest, OneThreadTrainerScoresWithoutAPool) {
+  RLCutOptions options = Options();
+  options.num_threads = 1;
+  const std::vector<DcId> reference = UninterruptedMasters(options);
+  obs::Counter* pool_tasks =
+      obs::DefaultRegistry().GetCounter("threadpool.tasks");
+  const uint64_t tasks_before = pool_tasks->value();
+
+  auto state = MakeState();
+  AutomatonPool pool(graph_.num_vertices(), topology_.num_dcs(), options);
+  fault::Arm(MustParse(
+      "trainer.chunk_stall:prob=0.5,amount=10;"
+      "trainer.chunk_abandon:prob=0.5"));
+  RLCutTrainer(options).Train(state.get(), AllVertices(), &pool);
+  const uint64_t fires = fault::TotalFires();
+  fault::Disarm();
+
+  // One thread: every shard is scored on the coordinator with faults
+  // off, so no pool task runs and no chunk fault can fire.
+  EXPECT_EQ(pool_tasks->value(), tasks_before);
+  EXPECT_EQ(fires, 0u);
   EXPECT_EQ(state->masters(), reference);
 }
 

@@ -249,7 +249,9 @@ INSTANTIATE_TEST_SUITE_P(
           info.param.model == ComputeModel::kHybridCut ? "Hybrid" : "EdgeCut";
       name += "_";
       name += info.param.graph_kind;
-      name += "_" + std::to_string(info.param.num_dcs) + "dcs";
+      name += "_";
+      name += std::to_string(info.param.num_dcs);
+      name += "dcs";
       return name;
     });
 

@@ -210,11 +210,6 @@ TEST(ValidateRLCutOptionsTest, FlagsEachOutOfRangeField) {
   }
   {
     RLCutOptions o;
-    o.chunk_max_retries = -1;
-    expect_invalid(o);
-  }
-  {
-    RLCutOptions o;
     o.checkpoint_every_steps = -1;
     expect_invalid(o);
   }

@@ -41,6 +41,7 @@
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <algorithm>
@@ -85,6 +86,7 @@ void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
 #include "cloud/topology.h"
 #include "common/flags.h"
 #include "common/random.h"
+#include "common/stats.h"
 #include "common/timer.h"
 #include "graph/generators.h"
 #include "graph/geo.h"
@@ -273,13 +275,11 @@ ServeResult RunServeFixture(bool fast) {
       (void)session->PublishPlan().value();
     }
   }
-  std::sort(latencies_ms.begin(), latencies_ms.end());
   ServeResult result;
   result.edges_per_sec = apply_seconds > 0
                              ? static_cast<double>(ingested) / apply_seconds
                              : 0;
-  result.p99_apply_ms =
-      latencies_ms[static_cast<size_t>(0.99 * (latencies_ms.size() - 1))];
+  result.p99_apply_ms = Percentile(std::move(latencies_ms), 0.99);
   return result;
 }
 

@@ -35,6 +35,7 @@
 #include "cloud/topology_schedule.h"
 #include "common/flags.h"
 #include "common/sim_time.h"
+#include "common/stats.h"
 #include "common/timer.h"
 #include "fault/fault.h"
 #include "graph/geo.h"
@@ -56,13 +57,6 @@ std::atomic<bool> g_cancel{false};
 void HandleStopSignal(int) {
   g_interrupted = 1;
   g_cancel.store(true, std::memory_order_relaxed);
-}
-
-double Percentile(std::vector<double> values, double q) {
-  if (values.empty()) return 0;
-  std::sort(values.begin(), values.end());
-  const size_t idx = static_cast<size_t>(q * (values.size() - 1) + 0.5);
-  return values[std::min(idx, values.size() - 1)];
 }
 
 }  // namespace
@@ -390,7 +384,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(edges_ingested), sustained,
       static_cast<unsigned long long>(publishes),
       static_cast<unsigned long long>(vertices_migrated),
-      Percentile(apply_seconds, 0.99) * 1e3,
+      rlcut::Percentile(apply_seconds, 0.99) * 1e3,
       static_cast<unsigned long long>(ingest_errors),
       static_cast<unsigned long long>(publish_errors));
 
